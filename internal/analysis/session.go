@@ -91,14 +91,7 @@ func (s *Session) Prefetch(ms ...*machine.Machine) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	plan := campaign.Plan{
-		Machines: missing,
-		Sizes:    []int{s.SizePerNode},
-		Reps:     s.Reps,
-		Workers:  s.Workers,
-		Execute:  s.Execute,
-	}
-	res, err := campaign.Run(context.Background(), plan, campaign.Options{
+	res, err := campaign.Run(context.Background(), s.plan(missing...), campaign.Options{
 		Workers: max(s.Jobs, 1),
 		Retain:  true,
 	})
@@ -118,35 +111,102 @@ func (s *Session) Prefetch(ms ...*machine.Machine) error {
 	return nil
 }
 
+// plan is the campaign plan Prefetch runs to collect the given machines:
+// each machine's Table III variant at the session's node size, with the
+// default tuning and schedule.
+func (s *Session) plan(machines ...string) campaign.Plan {
+	return campaign.Plan{
+		Machines: machines,
+		Sizes:    []int{s.SizePerNode},
+		Reps:     s.Reps,
+		Workers:  s.Workers,
+		Execute:  s.Execute,
+	}
+}
+
 // LoadDir seeds the session's profile cache from a campaign output
 // directory instead of running the suite, reading leniently: profiles
 // that fail to decode are skipped and returned as FileErrors for the
 // caller to report, so one torn file never blocks an analysis over an
 // otherwise healthy campaign. Profiles are keyed by their "machine"
-// metadata; the first profile per machine wins and already-cached
-// machines are not overwritten. It returns how many profiles were
-// loaded into the cache.
+// metadata. A campaign directory may hold many profiles per machine, so
+// per machine LoadDir keeps the first one (in file-name order) that
+// matches what Prefetch would have collected: the same variant, tuning,
+// size_per_node and schedule. A key a profile does not record does not
+// rule it out. If a machine has profiles but none matches, LoadDir
+// returns an error naming the machine and caches nothing. Profiles of
+// unknown machines are ignored, and already-cached machines are not
+// overwritten. It returns how many profiles were loaded into the cache.
 func (s *Session) LoadDir(dir string) (int, []caliper.FileError, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	loaded := 0
+	want := map[string]*campaign.RunSpec{} // nil: unknown machine
+	picked := map[string]*caliper.Profile{}
+	var machines []string // in first-seen order
 	ferrs, err := caliper.WalkDirLenient(dir, func(path string, p *caliper.Profile) error {
 		m, _ := p.Metadata["machine"].(string)
 		if m == "" {
 			return nil
 		}
-		s.mu.Lock()
-		if _, ok := s.profiles[m]; !ok {
-			s.profiles[m] = p
-			loaded++
+		spec, seen := want[m]
+		if !seen {
+			if specs, err := s.plan(m).Specs(); err == nil {
+				spec = &specs[0]
+			}
+			want[m] = spec
+			machines = append(machines, m)
 		}
-		s.mu.Unlock()
+		if spec != nil && picked[m] == nil && matchesSpec(p.Metadata, spec) {
+			picked[m] = p
+		}
 		return nil
 	})
 	if err != nil {
 		return 0, nil, fmt.Errorf("analysis: %w", err)
 	}
+	var unmatched []string
+	for _, m := range machines {
+		if spec := want[m]; spec != nil && picked[m] == nil {
+			unmatched = append(unmatched, fmt.Sprintf("%s (want variant %s, tuning %s, size_per_node %d, schedule %s)",
+				m, spec.Variant, spec.Tuning(), spec.Size, spec.Schedule))
+		}
+	}
+	if len(unmatched) > 0 {
+		return 0, nil, fmt.Errorf("analysis: no profile in %s matches the session for %s",
+			dir, strings.Join(unmatched, "; "))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	loaded := 0
+	for _, m := range machines {
+		if p := picked[m]; p != nil {
+			if _, ok := s.profiles[m]; !ok {
+				s.profiles[m] = p
+				loaded++
+			}
+		}
+	}
 	return loaded, ferrs, nil
+}
+
+// matchesSpec reports whether profile metadata md agrees with spec on
+// every selection key md records.
+func matchesSpec(md map[string]any, spec *campaign.RunSpec) bool {
+	for key, want := range map[string]any{
+		"variant":       spec.Variant,
+		"tuning":        spec.Tuning(),
+		"schedule":      spec.Schedule,
+		"size_per_node": float64(spec.Size),
+	} {
+		got, ok := md[key]
+		if n, isInt := got.(int); isInt {
+			got = float64(n) // decoded profiles carry JSON numbers as float64
+		}
+		if ok && got != want {
+			return false
+		}
+	}
+	return true
 }
 
 // Profile returns the cached suite profile for machine m, running the

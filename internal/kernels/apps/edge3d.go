@@ -46,7 +46,7 @@ func (k *Edge3D) SetUp(rp kernels.RunParams) {
 	}
 	k.mesh = newBoxMesh(zones)
 	k.x, k.y, k.z = k.mesh.nodeCoords()
-	k.mat = make([]float64, k.mesh.Zones()*edgeBasisN*edgeBasisN)
+	k.mat = kernels.Alloc(k.mesh.Zones() * edgeBasisN * edgeBasisN)
 	n := float64(k.mesh.Zones())
 	flopsPerElt := float64(edgeQ3 * (edgeBasisN*3 + 2*edgeBasisN*edgeBasisN))
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -34,7 +34,7 @@ func NewVol3D() kernels.Kernel {
 func (k *Vol3D) SetUp(rp kernels.RunParams) {
 	k.mesh = newBoxMesh(rp.EffectiveSize(k.Info()))
 	k.x, k.y, k.z = k.mesh.nodeCoords()
-	k.vol = make([]float64, k.mesh.Zones())
+	k.vol = kernels.Alloc(k.mesh.Zones())
 	n := float64(k.mesh.Zones())
 	k.SetMetrics(kernels.AnalyticMetrics{
 		// Each node is shared by eight zones, so the coordinate

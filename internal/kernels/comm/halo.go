@@ -27,7 +27,7 @@ const numFaces = 6
 
 // haloDomain is one rank's portion of the mesh: haloVars variables on a
 // (d+2)^3 grid (interior d^3 plus one ghost layer), with per-face pack and
-// unpack index lists.
+// unpack index lists. In model-only mode it carries only its extents.
 type haloDomain struct {
 	d       int // interior edge
 	e       int // padded edge (d+2)
@@ -48,6 +48,11 @@ func newHaloDomain(size int, rank int) *haloDomain {
 	for v := 0; v < haloVars; v++ {
 		h.vars[v] = kernels.Alloc(total)
 		kernels.InitData(h.vars[v], float64(v+1)+0.1*float64(rank))
+	}
+	if kernels.ModelOnly() {
+		// The metrics depend only on size and Run is never called in
+		// model-only mode: skip the index lists and face buffers.
+		return h
 	}
 	idx := func(i, j, k int) int32 { return int32((k*h.e+j)*h.e + i) }
 	// Build face lists: pack from the interior boundary layer, unpack

@@ -6,41 +6,69 @@ import (
 	"sync"
 )
 
-// registry holds kernel factories in registration order.
-var registry = struct {
+// kernelRegistry holds kernel factories with each kernel's figure-order
+// sort key, computed once at registration.
+type kernelRegistry struct {
 	sync.Mutex
-	order     []string
 	factories map[string]func() Kernel
-}{factories: map[string]func() Kernel{}}
+	keys      []sortKey
+	sorted    bool // keys are in figure order; Register clears it
+}
+
+// sortKey orders kernels by group then name, the order the paper's
+// figures use.
+type sortKey struct {
+	group    Group
+	name     string
+	fullName string
+}
+
+func newRegistry() *kernelRegistry {
+	return &kernelRegistry{factories: map[string]func() Kernel{}}
+}
+
+// registry is the global kernel registry kernel packages fill from init.
+var registry = newRegistry()
 
 // Register adds a kernel factory to the global registry. It panics if a
 // kernel with the same full name is already registered. Kernel packages
 // call it from init.
-func Register(f func() Kernel) {
-	name := f().Info().FullName()
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.factories[name]; dup {
-		panic(fmt.Sprintf("kernels: duplicate registration of %s", name))
+func Register(f func() Kernel) { registry.register(f) }
+
+func (r *kernelRegistry) register(f func() Kernel) {
+	in := f().Info()
+	key := sortKey{group: in.Group, name: in.Name, fullName: in.FullName()}
+	r.Lock()
+	defer r.Unlock()
+	if _, dup := r.factories[key.fullName]; dup {
+		panic(fmt.Sprintf("kernels: duplicate registration of %s", key.fullName))
 	}
-	registry.factories[name] = f
-	registry.order = append(registry.order, name)
+	r.factories[key.fullName] = f
+	r.keys = append(r.keys, key)
+	r.sorted = false
 }
 
 // Names returns the full names of all registered kernels sorted by group
-// then name, the order the paper's figures use.
-func Names() []string {
-	registry.Lock()
-	names := append([]string(nil), registry.order...)
-	factories := registry.factories
-	registry.Unlock()
-	sort.Slice(names, func(i, j int) bool {
-		a, b := factories[names[i]]().Info(), factories[names[j]]().Info()
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Name < b.Name
-	})
+// then name, the order the paper's figures use. The slice is the
+// caller's to modify.
+func Names() []string { return registry.names() }
+
+func (r *kernelRegistry) names() []string {
+	r.Lock()
+	defer r.Unlock()
+	if !r.sorted {
+		sort.Slice(r.keys, func(i, j int) bool {
+			if r.keys[i].group != r.keys[j].group {
+				return r.keys[i].group < r.keys[j].group
+			}
+			return r.keys[i].name < r.keys[j].name
+		})
+		r.sorted = true
+	}
+	names := make([]string, len(r.keys))
+	for i, k := range r.keys {
+		names[i] = k.fullName
+	}
 	return names
 }
 

@@ -161,3 +161,64 @@ func TestServicesMetricsGroupable(t *testing.T) {
 		}
 	}
 }
+
+// TestOverheadCalibratedOncePerServiceSet pins the per-process memo of
+// the recorder's overhead calibration: runs with the same services
+// report the same per-region cost, and tracing calibrates separately.
+func TestOverheadCalibratedOncePerServiceSet(t *testing.T) {
+	run := func(svc caliper.Services, tracer *caliper.Tracer) float64 {
+		t.Helper()
+		p, err := Run(Config{
+			Machine:     machine.SPRDDR(),
+			Variant:     kernels.RAJASeq,
+			SizePerNode: 10_000,
+			Kernels:     []string{"Stream_TRIAD"},
+			Services:    svc,
+			Tracer:      tracer,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"caliper.overhead.samples", "caliper.overhead.pct"} {
+			if _, ok := p.Metadata[key]; !ok {
+				t.Errorf("metadata %q missing", key)
+			}
+		}
+		ov, _ := p.Metadata["caliper.overhead.per_region_sec"].(float64)
+		if ov <= 0 {
+			t.Fatalf("caliper.overhead.per_region_sec = %v, want > 0", ov)
+		}
+		return ov
+	}
+	plain, err := caliper.ParseServices("runtime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := run(plain, nil), run(plain, nil)
+	if first != second {
+		t.Errorf("same services calibrated twice: %v then %v", first, second)
+	}
+
+	traced, err := caliper.ParseServices("runtime,trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := run(traced, caliper.NewTracer(1, 1024))
+	if again := run(traced, caliper.NewTracer(1, 1024)); again != tr {
+		t.Errorf("traced services calibrated twice: %v then %v", tr, again)
+	}
+	run(traced, nil) // same services, no tracer: its own calibration
+	overheads.Lock()
+	defer overheads.Unlock()
+	for _, key := range []overheadKey{
+		{services: "runtime", traced: false},
+		{services: "runtime,trace", traced: false},
+		{services: "runtime,trace", traced: true},
+	} {
+		if ov, ok := overheads.m[key]; !ok {
+			t.Errorf("no calibration memoized for %+v", key)
+		} else if key.traced && ov.PerRegionSec != tr {
+			t.Errorf("traced run reported %v, memo holds %v", tr, ov.PerRegionSec)
+		}
+	}
+}

@@ -305,7 +305,7 @@ func (r *run) close() {
 
 // finalize closes the run: end-of-collection metadata, failure accounting,
 // and the recorder's overhead self-measurement under the run's exact
-// service set.
+// service set (calibrated once per process and service set).
 func (r *run) finalize() *caliper.Profile {
 	wall := time.Since(r.wallStart).Seconds()
 	r.rec.AddMetadata("collection_end", adiak.Timestamp())
@@ -316,11 +316,39 @@ func (r *run) finalize() *caliper.Profile {
 		r.rec.AddMetadata("errors", append([]string(nil), r.failed...))
 	}
 
-	ov := r.rec.CalibrateOverhead(0)
+	ov := calibratedOverhead(r.rec, r.cfg)
 	r.rec.AddMetadata("caliper.overhead.per_region_sec", ov.PerRegionSec)
 	r.rec.AddMetadata("caliper.overhead.samples", ov.Samples)
 	r.rec.AddMetadata("caliper.overhead.pct", 100*ov.Fraction(r.rec.RegionCount(), wall))
 	return r.rec.Profile()
+}
+
+// overheads memoizes the recorder's overhead calibration per process.
+// The cost of an empty region depends on the counter sources sampled and
+// on whether events are traced, not on the run, so timing thousands of
+// empty regions once per service set is enough.
+var overheads = struct {
+	sync.Mutex
+	m map[overheadKey]caliper.Overhead
+}{m: map[overheadKey]caliper.Overhead{}}
+
+type overheadKey struct {
+	services string
+	traced   bool
+}
+
+// calibratedOverhead returns the overhead calibration for cfg's service
+// set, calibrating rec on the first request for that set.
+func calibratedOverhead(rec *caliper.Recorder, cfg Config) caliper.Overhead {
+	key := overheadKey{services: cfg.Services.String(), traced: cfg.Tracer != nil}
+	overheads.Lock()
+	defer overheads.Unlock()
+	ov, ok := overheads.m[key]
+	if !ok {
+		ov = rec.CalibrateOverhead(0)
+		overheads.m[key] = ov
+	}
+	return ov
 }
 
 func tuningName(cfg Config) string {
