@@ -107,7 +107,6 @@ func realMain() int {
 		breaker     = flag.Int("breaker", 0, "open a (kernel set, variant) circuit after this many consecutive non-transient failures, skipping its remaining specs (0 = off)")
 		traceOut    = flag.String("trace", "", "write a Chrome-trace JSON event trace to this path (enables the trace service)")
 		cpuprof     = flag.String("pprof", "", "write a CPU profile of the run to this path")
-		pprofSrv    = flag.String("pprof-http", "", "removed: serve the telemetry plane (including /debug/pprof) with -metrics-addr")
 
 		// Telemetry plane: live HTTP exposition plus periodic flushing of
 		// registry deltas into the output directory as telemetry profiles.
@@ -117,6 +116,8 @@ func realMain() int {
 		verbose      = flag.Bool("v", false, "log debug detail (per-spec scheduling, heartbeats)")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	// -faults list/help: print the catalog instead of burying it in the
 	// parse error of an unknown point.
@@ -195,17 +196,12 @@ func realMain() int {
 	}
 
 	// The telemetry plane: the default pool's dispatch metrics, the event
-	// bus every progress consumer shares, the HTTP server (promoted from
-	// the old -pprof-http ListenAndServe), and the periodic snapshotter.
+	// bus every progress consumer shares, the HTTP server, and the
+	// periodic snapshotter.
 	raja.Default().EnableTelemetry(nil)
 	bus := new(telemetry.Bus)
-	teleAddr, err := resolveMetricsAddr(*metricsAddr, *pprofSrv)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rajaperf:", err)
-		return 2
-	}
 	_, teleStop, err := telemetry.Boot(telemetry.BootOptions{
-		Addr:       teleAddr,
+		Addr:       *metricsAddr,
 		Bus:        bus,
 		FlushDir:   *outdir,
 		FlushEvery: *teleInterval,
@@ -223,54 +219,57 @@ func realMain() int {
 		}
 		return 0
 	}
+	// Every host path but single-run mode is a campaign plan: -campaign,
+	// the -report timing and checksum reports and the -scaling study
+	// share the executor, faults, retry, watchdogs and telemetry.
+	plan := campaign.Plan{
+		Kernels: splitList(*kerns), Sizes: []int{*size}, Reps: *reps,
+		Workers: *workers, Schedules: []string{*schedule},
+		Dispatch: *dispatch, Services: *services,
+	}
+	opts := campaign.Options{
+		Retry:      resilience.Policy{MaxAttempts: *maxAttempts},
+		RunTimeout: *runTimeout, StallTimeout: *stallT,
+		Faults: inj, Bus: bus,
+	}
 	if *campaignF {
-		outdirSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "outdir" {
-				outdirSet = true
-			}
-		})
-		code, err := runCampaign(campaignArgs{
-			machines: orDefault(*machines, *machName), variants: *variants,
-			blocks: *blocks, sizes: orDefault(*sizes, strconv.Itoa(*size)),
-			schedules: orDefault(*schedules, *schedule),
-			include:   *include, exclude: *exclude,
-			kernels: *kerns, reps: *reps, workers: *workers,
-			execute: *execute, outdir: *outdir, jobs: *jobs, resume: *resume,
-			maxAttempts: *maxAttempts, runTimeout: *runTimeout,
-			stallTimeout: *stallT, breaker: *breaker, faults: inj,
-			faultSpec: *faults, fabric: *fabricN, outdirSet: outdirSet,
-			respawn: *fabricRespawn, hedge: *hedgeFactor, drainTimeout: *drainTimeout,
-			bus: bus,
+		if err := checkCampaignFlags(set); err != nil {
+			fmt.Fprintln(os.Stderr, "rajaperf:", err)
+			return 2
+		}
+		plan.Machines = splitList(orDefault(*machines, *machName))
+		plan.Variants = splitList(*variants)
+		plan.Schedules = splitList(orDefault(*schedules, *schedule))
+		plan.Include, plan.Exclude = splitList(*include), splitList(*exclude)
+		plan.Execute = *execute
+		var err error
+		if plan.GPUBlocks, err = parseInts(*blocks); err == nil {
+			plan.Sizes, err = parseInts(orDefault(*sizes, strconv.Itoa(*size)))
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "rajaperf: bad -blocks or -sizes:", err)
+			return 2
+		}
+		opts.OutDir, opts.Campaign = *outdir, *outdir
+		opts.Workers, opts.Resume, opts.Breaker = *jobs, *resume, *breaker
+		code, err := runCampaign(plan, opts, fabricArgs{
+			workers: *fabricN, respawn: *fabricRespawn, hedge: *hedgeFactor,
+			drainTimeout: *drainTimeout, faultSpec: *faults, outdirSet: set["outdir"],
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rajaperf:", err)
 		}
 		return code
 	}
-	if *doReport {
-		if err := runReport(*kerns, *size, *reps, *workers, sched); err != nil {
+	if *doReport || *scaling {
+		study := runReport
+		if *scaling {
+			study = runScaling
+		}
+		if err := study(plan, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "rajaperf:", err)
 			return 1
 		}
-		return 0
-	}
-	if *scaling {
-		names := kernels.Names()
-		if *kerns != "" {
-			names = strings.Split(*kerns, ",")
-		}
-		sz := *size
-		if sz == 0 {
-			sz = 400_000
-		}
-		counts := []int{1, 2, 4, 8}
-		rows, err := report.ScalingStudy(names, counts, sz, *reps, sched)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rajaperf:", err)
-			return 1
-		}
-		fmt.Print(report.RenderScaling(rows, counts))
 		return 0
 	}
 
@@ -282,39 +281,24 @@ func realMain() int {
 	return 0
 }
 
-// campaignArgs carries the -campaign flag set.
-type campaignArgs struct {
-	machines, variants, blocks, sizes, schedules string
-	include, exclude, kernels                    string
-	reps, workers, jobs                          int
-	execute, resume                              bool
-	outdir                                       string
-
-	maxAttempts              int
-	runTimeout, stallTimeout time.Duration
-	breaker                  int
-	faults                   *resilience.Injector
-	// faultSpec is the raw -faults string: the fabric forwards it to each
-	// worker, which seeds its own injector from it.
-	faultSpec string
-	// fabric > 0 runs the campaign distributed across that many forked
+// fabricArgs carries the -fabric flag set.
+type fabricArgs struct {
+	// workers > 0 runs the campaign distributed across that many forked
 	// local worker processes (clamped to the plan's spec count).
-	fabric int
+	workers int
 	// respawn is the per-shard restart budget for dead fabric workers;
 	// hedge the speculative-redispatch factor over the running p95; and
 	// drainTimeout the SIGTERM grace for in-flight specs.
 	respawn      int
 	hedge        float64
 	drainTimeout time.Duration
+	// faultSpec is the raw -faults string: the fabric forwards it to each
+	// worker, which seeds its own injector from it.
+	faultSpec string
 	// outdirSet records whether -outdir was given explicitly: the fabric
 	// refuses to run against the flag's "." default, which would litter
 	// the working directory with shard WALs and profiles.
 	outdirSet bool
-
-	// bus is the process event bus: the campaign publishes its progress
-	// here, and both the CLI printer below and any /events SSE client
-	// consume the same stream.
-	bus *telemetry.Bus
 }
 
 // runCampaign plans and executes a campaign, streaming progress lines as
@@ -322,41 +306,20 @@ type campaignArgs struct {
 // completed (or resumed), 1 when any failed or the campaign was
 // interrupted — in which case the written manifest makes a -resume
 // invocation pick up where this one stopped.
-func runCampaign(a campaignArgs) (int, error) {
-	sizes, err := parseInts(a.sizes)
-	if err != nil {
-		return 2, fmt.Errorf("bad -sizes: %w", err)
-	}
-	blocks, err := parseInts(a.blocks)
-	if err != nil {
-		return 2, fmt.Errorf("bad -blocks: %w", err)
-	}
-	plan := campaign.Plan{
-		Machines:  splitList(a.machines),
-		Variants:  splitList(a.variants),
-		GPUBlocks: blocks,
-		Sizes:     sizes,
-		Schedules: splitList(a.schedules),
-		Reps:      a.reps,
-		Workers:   a.workers,
-		Kernels:   splitList(a.kernels),
-		Execute:   a.execute,
-		Include:   splitList(a.include),
-		Exclude:   splitList(a.exclude),
-	}
+func runCampaign(plan campaign.Plan, opts campaign.Options, fab fabricArgs) (int, error) {
 	specs, err := plan.Specs()
 	if err != nil {
 		return 2, err
 	}
 	log := telemetry.L()
-	log.Info("campaign planned", "specs", len(specs), "outdir", a.outdir,
-		"jobs", a.jobs, "resume", a.resume)
-	if a.fabric > len(specs) && len(specs) > 0 {
+	log.Info("campaign planned", "specs", len(specs), "outdir", opts.OutDir,
+		"jobs", opts.Workers, "resume", opts.Resume)
+	if fab.workers > len(specs) && len(specs) > 0 {
 		// More workers than specs would fork processes that never receive
 		// an assignment.
 		log.Info("clamping -fabric to the planned spec count",
-			"fabric", a.fabric, "specs", len(specs))
-		a.fabric = len(specs)
+			"fabric", fab.workers, "specs", len(specs))
+		fab.workers = len(specs)
 	}
 
 	// Progress consumer: the campaign publishes to the bus (the same
@@ -364,25 +327,12 @@ func runCampaign(a campaignArgs) (int, error) {
 	// structured log lines. The bus — not this printer — is the source
 	// of truth, so an operator watching SSE and one watching the
 	// terminal see identical transitions.
-	printerDone := watchProgress(a.bus, log)
+	printerDone := watchProgress(opts.Bus, log)
 
 	// Interrupt (ctrl-C) cancels cleanly: in-flight runs stop between
 	// kernels, the manifest stays consistent, and -resume continues.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	opts := campaign.Options{
-		OutDir:       a.outdir,
-		Workers:      a.jobs,
-		Resume:       a.resume,
-		Retry:        resilience.Policy{MaxAttempts: a.maxAttempts},
-		RunTimeout:   a.runTimeout,
-		StallTimeout: a.stallTimeout,
-		Breaker:      a.breaker,
-		Faults:       a.faults,
-		Bus:          a.bus,
-		Campaign:     a.outdir,
-	}
 
 	// Distributed mode: stand up the coordinator, fork the worker fleet,
 	// rendezvous, and hand the coordinator to the orchestrator as its
@@ -394,30 +344,30 @@ func runCampaign(a campaignArgs) (int, error) {
 	var spawner *workerSpawner
 	var drainDone chan struct{}
 	var hardCancel context.CancelFunc
-	if a.fabric > 0 {
-		if a.outdir == "" || !a.outdirSet {
+	if fab.workers > 0 {
+		if opts.OutDir == "" || !fab.outdirSet {
 			return 2, errors.New("-fabric requires -outdir (workers stream profiles and shard WALs there)")
 		}
-		if spawner, err = newWorkerSpawner(a.outdir); err != nil {
+		if spawner, err = newWorkerSpawner(opts.OutDir); err != nil {
 			return 1, err
 		}
 		cfg := fabric.Config{
-			Workers: a.fabric,
+			Workers: fab.workers,
 			Worker: fabric.WorkerConfig{
-				OutDir:       a.outdir,
-				MaxAttempts:  a.maxAttempts,
-				RunTimeout:   a.runTimeout,
-				StallTimeout: a.stallTimeout,
-				Faults:       a.faultSpec,
+				OutDir:       opts.OutDir,
+				MaxAttempts:  opts.Retry.MaxAttempts,
+				RunTimeout:   opts.RunTimeout,
+				StallTimeout: opts.StallTimeout,
+				Faults:       fab.faultSpec,
 			},
-			HedgeFactor: a.hedge,
-			Chaos:       a.faults,
-			Bus:         a.bus,
-			Campaign:    a.outdir,
+			HedgeFactor: fab.hedge,
+			Chaos:       opts.Faults,
+			Bus:         opts.Bus,
+			Campaign:    opts.OutDir,
 		}
-		if a.respawn > 0 {
+		if fab.respawn > 0 {
 			cfg.Spawn = spawner.spawn
-			cfg.Respawn = resilience.Policy{MaxAttempts: a.respawn,
+			cfg.Respawn = resilience.Policy{MaxAttempts: fab.respawn,
 				BaseDelay: 200 * time.Millisecond, MaxDelay: 2 * time.Second}
 		}
 		coord, err = fabric.NewCoordinator(cfg)
@@ -426,7 +376,7 @@ func runCampaign(a campaignArgs) (int, error) {
 		}
 		defer coord.Close()
 		spawner.setAddr(coord.Addr())
-		for i := 0; i < a.fabric; i++ {
+		for i := 0; i < fab.workers; i++ {
 			if err := spawner.spawn(i); err != nil {
 				spawner.reap()
 				return 1, err
@@ -439,9 +389,9 @@ func runCampaign(a campaignArgs) (int, error) {
 		if err != nil {
 			return 1, err
 		}
-		log.Info("fabric ready", "workers", a.fabric, "addr", coord.Addr())
+		log.Info("fabric ready", "workers", fab.workers, "addr", coord.Addr())
 		opts.Executor = coord
-		opts.Workers = a.fabric
+		opts.Workers = fab.workers
 
 		// Graceful drain: SIGTERM stops assignment and lets in-flight
 		// specs finish (their outcomes reach the shard WALs), then the
@@ -457,8 +407,8 @@ func runCampaign(a campaignArgs) (int, error) {
 			defer close(drainDone)
 			select {
 			case <-term:
-				log.Info("SIGTERM: draining fabric", "timeout", a.drainTimeout)
-				dctx, dcancel := context.WithTimeout(context.Background(), a.drainTimeout)
+				log.Info("SIGTERM: draining fabric", "timeout", fab.drainTimeout)
+				dctx, dcancel := context.WithTimeout(context.Background(), fab.drainTimeout)
 				defer dcancel()
 				var d campaign.Drainer = coord
 				if err := d.Drain(dctx); err != nil {
@@ -484,7 +434,7 @@ func runCampaign(a campaignArgs) (int, error) {
 		// byte-deterministic regardless of worker completion order.
 		coord.Close()
 		spawner.reap()
-		if _, applied, ferr := campaign.FinalizeShards(a.outdir); ferr != nil {
+		if _, applied, ferr := campaign.FinalizeShards(opts.OutDir); ferr != nil {
 			log.Error("fabric: shard WAL merge failed", "err", ferr)
 		} else {
 			log.Info("fabric finished", "steals", coord.Steals(),
@@ -503,7 +453,7 @@ func runCampaign(a campaignArgs) (int, error) {
 			fmt.Printf("campaign: %d timed out, %d skipped by circuit breaker\n",
 				res.TimedOut, res.Skipped)
 		}
-		fmt.Printf("manifest: %s\n", campaign.ManifestPath(a.outdir))
+		fmt.Printf("manifest: %s\n", campaign.ManifestPath(opts.OutDir))
 	}
 	if err != nil {
 		return 1, err
@@ -565,16 +515,23 @@ func watchProgress(bus *telemetry.Bus, log *telemetry.Logger) func() {
 	}
 }
 
-// resolveMetricsAddr returns the telemetry listen address. The old
-// -pprof-http flag served its one release as a deprecated alias and is
-// now removed: setting it is an error that names the replacement, so a
-// stale script fails loudly at startup instead of silently serving
-// nothing.
-func resolveMetricsAddr(metricsAddr, pprofHTTP string) (string, error) {
-	if pprofHTTP != "" {
-		return "", errors.New("-pprof-http was removed; serve the telemetry plane (including /debug/pprof) with -metrics-addr")
+// campaignDropped pairs each single-run flag a campaign cannot honor
+// with what to do instead.
+var campaignDropped = [][2]string{
+	{"variant", "use -variants"}, {"block", "use -blocks"},
+	{"group", "use -kernels"}, {"feature", "use -kernels"},
+	{"trace", "tracing is single-run only"},
+}
+
+// checkCampaignFlags rejects single-run flags set alongside -campaign,
+// which would otherwise be dropped silently.
+func checkCampaignFlags(set map[string]bool) error {
+	for _, d := range campaignDropped {
+		if set[d[0]] {
+			return fmt.Errorf("-%s does not apply to -campaign; %s", d[0], d[1])
+		}
 	}
-	return metricsAddr, nil
+	return nil
 }
 
 // workerSpawner forks fabric worker processes of this same binary, each
@@ -683,26 +640,49 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// runReport executes the classic timing/checksum reports on the host.
-func runReport(kerns string, size, reps, workers int, sched raja.Schedule) error {
-	cfg := report.Config{Size: size, Reps: reps, Workers: workers, Schedule: sched}
-	if size == 0 {
-		cfg.Size = 100_000 // host-friendly default for real execution
+// runReport prints the classic timing and checksum reports from one
+// Host campaign over the four host variants.
+func runReport(base campaign.Plan, opts campaign.Options) error {
+	if base.Sizes[0] == 0 {
+		base.Sizes = []int{100_000} // host-friendly default for real execution
 	}
-	if kerns != "" {
-		cfg.Kernels = strings.Split(kerns, ",")
-	}
-	rep, err := report.Run(cfg)
+	profiles, err := campaign.Collect(context.Background(), report.Plan(base), opts)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Timing report (best of 2 passes):")
-	fmt.Print(rep.Timing())
-	fmt.Println("\nChecksum report:")
-	fmt.Print(rep.Checksums())
+	rep, err := report.FromProfiles(base.Kernels, profiles)
+	if err != nil {
+		return err
+	}
+	fmt.Print("Timing report:\n", rep.Timing(), "\nChecksum report:\n", rep.Checksums())
+	for _, p := range profiles {
+		errs, _ := p.Metadata["errors"].([]string)
+		for _, e := range errs {
+			telemetry.L().Warn("kernel failed", "variant", p.Metadata["variant"], "err", e)
+		}
+	}
 	if failed := rep.FailedKernels(); len(failed) > 0 {
 		return fmt.Errorf("checksum mismatches: %v", failed)
 	}
+	return nil
+}
+
+// runScaling prints the strong-scaling table of RAJA_OpenMP on the host,
+// one campaign per worker count.
+func runScaling(base campaign.Plan, opts campaign.Options) error {
+	if base.Sizes[0] == 0 {
+		base.Sizes = []int{400_000}
+	}
+	var profiles []*caliper.Profile
+	for _, w := range report.ScalingWorkers {
+		ps, err := campaign.Collect(context.Background(), report.ScalingPlan(base, w), opts)
+		if err != nil {
+			return err
+		}
+		profiles = append(profiles, ps...)
+	}
+	rows := report.ScalingFromProfiles(report.ScalingWorkers, profiles)
+	fmt.Print(report.RenderScaling(rows, report.ScalingWorkers))
 	return nil
 }
 
@@ -765,7 +745,7 @@ func run(machName, variant string, block, size, reps, workers int,
 		}
 	}
 
-	p, err := suite.Run(suite.Config{
+	p, err := suite.RunContext(context.Background(), suite.Config{
 		Machine:     m,
 		Variant:     v,
 		GPUBlock:    block,

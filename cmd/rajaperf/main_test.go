@@ -1,42 +1,73 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"rajaperf/internal/caliper"
+	"rajaperf/internal/campaign"
 	"rajaperf/internal/kernels"
 )
 
-func TestResolveMetricsAddr(t *testing.T) {
-	t.Run("metrics-addr passes through", func(t *testing.T) {
-		got, err := resolveMetricsAddr("localhost:6060", "")
-		if err != nil {
-			t.Fatalf("unexpected error: %v", err)
-		}
-		if got != "localhost:6060" {
-			t.Fatalf("got %q, want -metrics-addr value", got)
-		}
-	})
-	t.Run("pprof-http is a removal error", func(t *testing.T) {
-		_, err := resolveMetricsAddr("", "localhost:7070")
+// TestMain doubles as the rajaperf binary: with RAJAPERF_TEST_MAIN set,
+// the test binary runs realMain on its arguments, so tests can check
+// exit codes end to end.
+func TestMain(m *testing.M) {
+	if os.Getenv("RAJAPERF_TEST_MAIN") != "" {
+		os.Exit(realMain())
+	}
+	os.Exit(m.Run())
+}
+
+// rajaperf runs the CLI in a child process and returns its exit code and
+// stderr.
+func rajaperf(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "RAJAPERF_TEST_MAIN=1")
+	cmd.Dir = t.TempDir()
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+func TestCampaignRejectsSingleRunFlags(t *testing.T) {
+	cases := []struct{ flag, want string }{
+		{"variant", "use -variants"},
+		{"block", "use -blocks"},
+		{"group", "use -kernels"},
+		{"feature", "use -kernels"},
+		{"trace", "tracing is single-run only"},
+	}
+	for _, c := range cases {
+		err := checkCampaignFlags(map[string]bool{c.flag: true, "campaign": true})
 		if err == nil {
-			t.Fatal("removed -pprof-http must error")
+			t.Errorf("-%s with -campaign: want an error", c.flag)
+			continue
 		}
-		if !strings.Contains(err.Error(), "removed") || !strings.Contains(err.Error(), "-metrics-addr") {
-			t.Fatalf("error must name the removal and the replacement, got %q", err)
+		if msg := err.Error(); !strings.Contains(msg, "-"+c.flag+" ") || !strings.Contains(msg, c.want) {
+			t.Errorf("-%s with -campaign: error %q must name the flag and %q", c.flag, msg, c.want)
 		}
-	})
-	t.Run("pprof-http errors even alongside metrics-addr", func(t *testing.T) {
-		if _, err := resolveMetricsAddr("localhost:6060", "localhost:7070"); err == nil {
-			t.Fatal("removed flag must error even when -metrics-addr is set")
-		}
-	})
-	t.Run("both empty", func(t *testing.T) {
-		got, err := resolveMetricsAddr("", "")
-		if err != nil || got != "" {
-			t.Fatalf("got %q, %v; want empty, nil", got, err)
-		}
-	})
+	}
+	code, stderr := rajaperf(t, "-campaign", "-machines", "Host", "-variant", "RAJA_Seq")
+	if code != 2 || !strings.Contains(stderr, "-variant does not apply to -campaign; use -variants") {
+		t.Errorf("rajaperf -campaign -variant: exit %d, stderr %q; want 2 naming -variants", code, stderr)
+	}
+	// The campaign's own flags, and the shared ones, pass.
+	ok := map[string]bool{"campaign": true, "variants": true, "blocks": true,
+		"kernels": true, "dispatch": true, "services": true, "outdir": true}
+	if err := checkCampaignFlags(ok); err != nil {
+		t.Errorf("campaign flags rejected: %v", err)
+	}
 }
 
 func TestParseDispatchFlag(t *testing.T) {
@@ -68,14 +99,30 @@ func TestFabricRequiresExplicitOutdir(t *testing.T) {
 	// -outdir defaults to ".", so the guard must key on whether the flag
 	// was given, not on the value: a fabric campaign against the default
 	// would scatter shard WALs and profiles over the working directory.
-	code, err := runCampaign(campaignArgs{
-		machines: "SPR-DDR", kernels: "Stream_TRIAD",
-		outdir: ".", outdirSet: false, fabric: 2,
-	})
+	code, err := runCampaign(
+		campaign.Plan{Machines: []string{"SPR-DDR"}, Kernels: []string{"Stream_TRIAD"}},
+		campaign.Options{OutDir: "."}, fabricArgs{workers: 2, outdirSet: false})
 	if code != 2 || err == nil {
 		t.Fatalf("fabric without explicit -outdir: code %d, err %v; want 2 and an error", code, err)
 	}
 	if !strings.Contains(err.Error(), "-outdir") {
 		t.Fatalf("error must name -outdir, got %q", err)
+	}
+}
+
+func TestCampaignHonorsDispatch(t *testing.T) {
+	dir := t.TempDir()
+	code, stderr := rajaperf(t, "-campaign", "-machines", "Host", "-variants", "RAJA_Seq",
+		"-kernels", "Stream_TRIAD", "-sizes", "1000", "-execute", "-dispatch", "closure",
+		"-quiet", "-outdir", dir)
+	if code != 0 {
+		t.Fatalf("closure campaign: exit %d, stderr %q", code, stderr)
+	}
+	p, err := caliper.ReadFile(filepath.Join(dir, "Host_RAJA_Seq_default_n1000_default.cali.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Metadata["dispatch"]; d != "closure" {
+		t.Errorf("closure campaign profile records dispatch %v", d)
 	}
 }

@@ -1,58 +1,43 @@
 // Quickstart: run a handful of suite kernels in several variants on the
-// host, verify their checksums agree across variants, and print the
-// analytic metrics — the smallest useful tour of the public API.
+// host as one campaign plan, verify their checksums agree across
+// variants, and print the analytic metrics — the smallest useful tour of
+// the public API.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"time"
 
-	"rajaperf/internal/kernels"
-	_ "rajaperf/internal/kernels/basic"
-	_ "rajaperf/internal/kernels/stream"
+	"rajaperf/internal/campaign"
+	"rajaperf/internal/report"
 )
 
 func main() {
-	rp := kernels.RunParams{Size: 500_000, Reps: 5, Workers: 0}
-	variants := []kernels.VariantID{
-		kernels.BaseSeq, kernels.RAJASeq,
-		kernels.BaseOpenMP, kernels.RAJAOpenMP, kernels.RAJAGPU,
+	names := []string{"Stream_TRIAD", "Stream_DOT", "Basic_DAXPY", "Basic_PI_REDUCE"}
+	plan := report.Plan(campaign.Plan{
+		Kernels:  names,
+		Variants: []string{"Base_Seq", "RAJA_Seq", "Base_OpenMP", "RAJA_OpenMP", "RAJA_GPU"},
+		Sizes:    []int{500_000},
+		Reps:     5,
+	})
+	profiles, err := campaign.Collect(context.Background(), plan, campaign.Options{})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	for _, name := range []string{"Stream_TRIAD", "Stream_DOT", "Basic_DAXPY", "Basic_PI_REDUCE"} {
-		k, err := kernels.New(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		k.SetUp(rp)
-		m := k.Metrics()
+	for _, name := range names {
+		m := profiles[0].Find(name).Metrics
 		fmt.Printf("%s  (%.1f MB touched, %.2f flops/byte per rep)\n",
-			name, (m.BytesRead+m.BytesWritten)/1e6, m.FlopsPerByte())
-
-		var ref float64
-		for i, v := range variants {
-			start := time.Now()
-			if err := k.Run(v, rp); err != nil {
-				log.Fatalf("%s %s: %v", name, v, err)
-			}
-			elapsed := time.Since(start)
-			cs := k.Checksum()
-			status := "ref"
-			if i > 0 {
-				if kernels.ChecksumsClose(cs, ref) {
-					status = "OK"
-				} else {
-					status = fmt.Sprintf("MISMATCH (ref %v)", ref)
-				}
-			} else {
-				ref = cs
-			}
-			fmt.Printf("  %-14s %10v  checksum %-18.10g %s\n", v, elapsed.Round(time.Microsecond), cs, status)
-		}
-		k.TearDown()
-		fmt.Println()
+			name, (m["Bytes/Rep Read"]+m["Bytes/Rep Written"])/1e6, m["FlopsPerByte"])
+	}
+	rep, err := report.FromProfiles(names, profiles)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print("\n", rep.Timing(), "\n", rep.Checksums())
+	if failed := rep.FailedKernels(); len(failed) > 0 {
+		log.Fatalf("checksum mismatches: %v", failed)
 	}
 }

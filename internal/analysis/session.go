@@ -91,22 +91,16 @@ func (s *Session) Prefetch(ms ...*machine.Machine) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	res, err := campaign.Run(context.Background(), s.plan(missing...), campaign.Options{
-		Workers: max(s.Jobs, 1),
-		Retain:  true,
-	})
+	profiles, err := campaign.Collect(context.Background(), s.plan(missing...),
+		campaign.Options{Workers: max(s.Jobs, 1)})
 	if err != nil {
 		return fmt.Errorf("analysis: collecting profiles: %w", err)
 	}
 	s.mu.Lock()
-	for _, sr := range res.Specs {
-		if sr.Status == campaign.StatusDone {
-			s.profiles[sr.Spec.Machine] = sr.Profile
-		}
-	}
-	s.mu.Unlock()
-	if err := res.Err(); err != nil {
-		return fmt.Errorf("analysis: %w", err)
+	defer s.mu.Unlock()
+	for _, p := range profiles {
+		m, _ := p.Metadata["machine"].(string)
+		s.profiles[m] = p
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
+	"rajaperf/internal/campaign"
 	"rajaperf/internal/machine"
 	"rajaperf/internal/suite"
 )
@@ -33,7 +35,8 @@ type TuningData struct {
 }
 
 // TuningSweep models every GPU-capable kernel at each block size on m and
-// reports the best tuning per kernel.
+// reports the best tuning per kernel. The sweep is always model-only; it
+// runs through the campaign executor, up to s.Jobs block sizes at once.
 func (s *Session) TuningSweep(m *machine.Machine, blocks []int) (*TuningData, error) {
 	if m.Kind != machine.GPU {
 		return nil, fmt.Errorf("analysis: tuning sweep needs a GPU machine, got %s", m)
@@ -41,44 +44,32 @@ func (s *Session) TuningSweep(m *machine.Machine, blocks []int) (*TuningData, er
 	if len(blocks) == 0 {
 		blocks = DefaultTuningBlocks
 	}
-	times := map[string]map[int]float64{}
-	for _, block := range blocks {
-		p, err := suite.Run(suite.Config{
-			Machine:     m,
-			Variant:     suite.DefaultVariant(m),
-			GPUBlock:    block,
-			SizePerNode: s.SizePerNode,
-			Reps:        s.Reps,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range p.Records {
-			t, ok := r.Metrics["time"]
-			if !ok {
-				continue
-			}
-			name := r.Node()
-			if times[name] == nil {
-				times[name] = map[int]float64{}
-			}
-			times[name][block] = t
-		}
+	// One model-only campaign over the GPU-block axis; its specs keep
+	// the order of blocks, one per (positive, distinct) block size.
+	profiles, err := campaign.Collect(context.Background(), campaign.Plan{
+		Machines:  []string{m.Shorthand},
+		Variants:  []string{suite.DefaultVariant(m).String()},
+		GPUBlocks: blocks,
+		Sizes:     []int{s.SizePerNode},
+		Reps:      s.Reps,
+	}, campaign.Options{Workers: max(s.Jobs, 1)})
+	if err != nil {
+		return nil, fmt.Errorf("analysis: tuning sweep: %w", err)
 	}
-
+	if len(profiles) != len(blocks) {
+		return nil, fmt.Errorf("analysis: tuning blocks %v must be positive and distinct", blocks)
+	}
 	data := &TuningData{Machine: m, Blocks: blocks}
-	names := make([]string, 0, len(times))
-	for n := range times {
-		if n == "suite" {
+	for _, rec := range profiles[0].Records {
+		if _, ok := rec.Metrics["time"]; !ok || len(rec.Path) != 2 { // kernel nodes only
 			continue
 		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		row := TuningRow{Kernel: n, Times: times[n]}
+		row := TuningRow{Kernel: rec.Node(), Times: map[int]float64{}}
 		best, worst := 0.0, 0.0
-		for _, block := range blocks {
+		for i, block := range blocks {
+			if r := profiles[i].Find(row.Kernel); r != nil {
+				row.Times[block] = r.Metrics["time"]
+			}
 			t := row.Times[block]
 			if row.BestBlock == 0 || t < best {
 				best, row.BestBlock = t, block
@@ -92,6 +83,7 @@ func (s *Session) TuningSweep(m *machine.Machine, blocks []int) (*TuningData, er
 		}
 		data.Rows = append(data.Rows, row)
 	}
+	sort.Slice(data.Rows, func(i, j int) bool { return data.Rows[i].Kernel < data.Rows[j].Kernel })
 	return data, nil
 }
 

@@ -58,6 +58,11 @@ type Plan struct {
 	Workers int      // execution workers per run (0 = orchestrator decides)
 	Kernels []string // kernel subset; empty = whole suite
 	Execute bool     // run real computations (uniform across the plan)
+	// Dispatch is the RAJA dispatch mode (kernels.ParseDispatch; "" =
+	// mono) and Services the measurement services (caliper.ParseServices;
+	// "" = wall-clock only) of every run. Neither enters the spec ID.
+	Dispatch string
+	Services string
 
 	// Include keeps only specs whose ID matches at least one pattern;
 	// empty keeps everything. Exclude then drops specs matching any
@@ -80,6 +85,8 @@ type RunSpec struct {
 	Workers  int      `json:"workers,omitempty"`
 	Kernels  []string `json:"kernels,omitempty"`
 	Execute  bool     `json:"execute,omitempty"`
+	Dispatch string   `json:"dispatch,omitempty"`
+	Services string   `json:"services,omitempty"`
 }
 
 // Tuning returns the spec's tuning label, matching the suite's "tuning"
@@ -119,6 +126,14 @@ func (s RunSpec) Config() (suite.Config, error) {
 	if !ok {
 		return suite.Config{}, fmt.Errorf("campaign: spec %s: unknown schedule %q", s.ID(), s.Schedule)
 	}
+	disp, err := kernels.ParseDispatch(s.Dispatch)
+	if err != nil {
+		return suite.Config{}, fmt.Errorf("campaign: spec %s: %w", s.ID(), err)
+	}
+	svc, err := caliper.ParseServices(s.Services)
+	if err != nil {
+		return suite.Config{}, fmt.Errorf("campaign: spec %s: %w", s.ID(), err)
+	}
 	return suite.Config{
 		Machine:     m,
 		Variant:     v,
@@ -129,6 +144,8 @@ func (s RunSpec) Config() (suite.Config, error) {
 		Kernels:     s.Kernels,
 		Execute:     s.Execute,
 		Schedule:    sched,
+		Dispatch:    disp,
+		Services:    svc,
 	}, nil
 }
 
@@ -137,7 +154,9 @@ func (s RunSpec) Config() (suite.Config, error) {
 // schedules), normalized (GPU block and size defaults resolved, non-GPU
 // variants collapsed to one tuning), filtered by Include/Exclude, and
 // deduplicated by ID. It validates every axis value, so a bad plan fails
-// before any run starts.
+// before any run starts. Dispatch and Services are stored canonically,
+// with the defaults as "", so a plan that spells them out records the
+// same manifest as one that leaves them empty.
 func (p Plan) Specs() ([]RunSpec, error) {
 	if len(p.Machines) == 0 {
 		return nil, fmt.Errorf("campaign: plan needs at least one machine")
@@ -163,6 +182,21 @@ func (p Plan) Specs() ([]RunSpec, error) {
 		if _, err := kernels.ParseVariant(vn); err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
+	}
+	disp, err := kernels.ParseDispatch(p.Dispatch)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	dispatch := ""
+	if disp != kernels.DispatchMono {
+		dispatch = disp.String()
+	}
+	svc, err := caliper.ParseServices(p.Services)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	if svc.Enabled(caliper.ServiceTrace) { // only single-run mode writes a trace out
+		return nil, fmt.Errorf("campaign: the %s service needs single-run mode", caliper.ServiceTrace)
 	}
 
 	var specs []RunSpec
@@ -202,6 +236,8 @@ func (p Plan) Specs() ([]RunSpec, error) {
 							Workers:  p.Workers,
 							Kernels:  p.Kernels,
 							Execute:  p.Execute,
+							Dispatch: dispatch,
+							Services: svc.String(),
 						}
 						id := s.ID()
 						if seen[id] || !p.keep(id) {

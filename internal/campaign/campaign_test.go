@@ -1,12 +1,17 @@
 package campaign
 
 import (
+	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
+	"rajaperf/internal/caliper"
+	"rajaperf/internal/kernels"
 	"rajaperf/internal/raja"
 	"rajaperf/internal/suite"
+	"rajaperf/internal/telemetry"
 )
 
 func ids(specs []RunSpec) []string {
@@ -104,6 +109,9 @@ func TestSpecsRejectsBadAxes(t *testing.T) {
 		{Machines: []string{"No-Such-Machine"}}, // unknown machine
 		{Machines: []string{"SPR-DDR"}, Variants: []string{"RAJA_Quantum"}},
 		{Machines: []string{"SPR-DDR"}, Schedules: []string{"fractal"}},
+		{Machines: []string{"SPR-DDR"}, Dispatch: "jit"},
+		{Machines: []string{"SPR-DDR"}, Services: "psychic"},
+		{Machines: []string{"SPR-DDR"}, Services: "trace"}, // single-run mode only
 	}
 	for i, p := range cases {
 		if _, err := p.Specs(); err == nil {
@@ -140,5 +148,65 @@ func TestSpecConfigRoundtrip(t *testing.T) {
 	}
 	if !strings.HasSuffix(specs[0].FileName(), ".cali.json") {
 		t.Errorf("file name %q lacks the profile extension", specs[0].FileName())
+	}
+}
+
+// TestSpecsDispatchAndServices: the scalar Dispatch and Services fields
+// reach every spec's suite config, stay out of the spec ID, and are
+// stored canonically — defaults as "", so a plan that spells out the
+// defaults marshals exactly like one that leaves them empty.
+func TestSpecsDispatchAndServices(t *testing.T) {
+	base := Plan{Machines: []string{"Host"}, Variants: []string{"RAJA_Seq"}, Sizes: []int{1000}}
+	explicit := base
+	explicit.Dispatch, explicit.Services = "mono", ""
+	custom := base
+	custom.Dispatch, custom.Services = "closure", "imbalance,runtime,imbalance"
+
+	specs := map[string]RunSpec{}
+	for name, p := range map[string]Plan{"base": base, "explicit": explicit, "custom": custom} {
+		ss, err := p.Specs()
+		if err != nil || len(ss) != 1 {
+			t.Fatalf("%s: specs = %v, err %v", name, ss, err)
+		}
+		specs[name] = ss[0]
+	}
+	if specs["custom"].ID() != specs["base"].ID() {
+		t.Errorf("dispatch/services changed the spec ID: %s vs %s", specs["custom"].ID(), specs["base"].ID())
+	}
+	b, _ := json.Marshal(specs["base"])
+	e, _ := json.Marshal(specs["explicit"])
+	if string(b) != string(e) || strings.Contains(string(b), "dispatch") || strings.Contains(string(b), "services") {
+		t.Errorf("default dispatch/services must marshal away: %s vs %s", b, e)
+	}
+	if got := specs["custom"]; got.Dispatch != "closure" || got.Services != "imbalance,runtime" {
+		t.Errorf("custom spec = %+v", got)
+	}
+	cfg, err := specs["custom"].Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Dispatch != kernels.DispatchClosure || !cfg.Services.Enabled(caliper.ServiceImbalance) ||
+		!cfg.Services.Enabled("runtime") {
+		t.Errorf("config dispatch %v services %v", cfg.Dispatch, cfg.Services)
+	}
+}
+
+// TestResumeRerunsOtherDispatch: dispatch mode is not in the spec ID, so
+// resume must compare it explicitly — a profile recorded under mono does
+// not complete the closure spec with the same ID.
+func TestResumeRerunsOtherDispatch(t *testing.T) {
+	dir := t.TempDir()
+	p := Plan{Machines: []string{"Host"}, Variants: []string{"RAJA_Seq"},
+		Kernels: []string{"Stream_TRIAD"}, Sizes: []int{1000}}
+	opts := Options{OutDir: dir, Resume: true, Metrics: new(telemetry.Registry)}
+	if res, err := Run(context.Background(), p, opts); err != nil || res.Done != 1 {
+		t.Fatalf("first run: %+v, %v", res, err)
+	}
+	if res, err := Run(context.Background(), p, opts); err != nil || res.Resumed != 1 {
+		t.Fatalf("same-plan resume: %+v, %v", res, err)
+	}
+	p.Dispatch = "closure"
+	if res, err := Run(context.Background(), p, opts); err != nil || res.Done != 1 || res.Resumed != 0 {
+		t.Fatalf("closure resume over a mono run: %+v, %v", res, err)
 	}
 }

@@ -133,10 +133,13 @@ func (m *Manifest) Write(dir string) error {
 // Completed reports whether spec s finished successfully in a previous
 // campaign over dir and its recorded profile still exists and validates —
 // the resume criterion. A done entry whose profile has since been deleted,
-// truncated, or corrupted does not count: the spec re-runs.
+// truncated, or corrupted does not count: the spec re-runs. So does one
+// recorded under another dispatch mode or service set, which the spec ID
+// does not carry.
 func (m *Manifest) Completed(dir string, s RunSpec) bool {
 	e, ok := m.Entries[s.ID()]
-	if !ok || e.Status != StatusDone || e.File == "" {
+	if !ok || e.Status != StatusDone || e.File == "" ||
+		e.Spec.Dispatch != s.Dispatch || e.Spec.Services != s.Services {
 		return false
 	}
 	p, err := caliper.ReadFile(filepath.Join(dir, e.File))

@@ -85,7 +85,7 @@ type Options struct {
 	// and quarantine of undecodable profiles (Recover).
 	Resume bool
 	// Retain keeps each completed profile in its SpecResult, for callers
-	// composing in memory (analysis.Session). Off by default so large
+	// composing in memory (Collect sets it). Off by default so large
 	// campaigns stream to disk without accumulating every run.
 	Retain bool
 	// PoolLanes sets each in-flight run's private executor pool size.
@@ -478,6 +478,28 @@ feeding:
 		Finished: finished, Total: len(specs), Elapsed: res.Elapsed.Seconds(),
 	})
 	return res, nil
+}
+
+// Collect runs plan in memory — profiles retained, nothing recorded — and
+// returns the completed profiles in plan order. Any spec that did not
+// complete fails the whole collection; a kernel that failed inside a
+// completed run does not (its node carries the suite's "error" metric).
+// This is how the host reports, the scaling study and the tuning sweep
+// reach the executor.
+func Collect(ctx context.Context, plan Plan, opts Options) ([]*caliper.Profile, error) {
+	opts.OutDir, opts.Resume, opts.Retain = "", false, true
+	res, err := Run(ctx, plan, opts)
+	if err == nil {
+		err = res.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	profiles := make([]*caliper.Profile, len(res.Specs))
+	for i, sr := range res.Specs {
+		profiles[i] = sr.Profile
+	}
+	return profiles, nil
 }
 
 // runSpec drives one spec through its retry loop. All failure modes

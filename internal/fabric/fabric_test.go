@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"reflect"
@@ -300,6 +301,53 @@ func TestFabricOracleEquivalence(t *testing.T) {
 	if soloTk.NumProfiles() != fabTk.NumProfiles() || soloTk.NumRows() != fabTk.NumRows() {
 		t.Errorf("thicket shapes differ: solo %d profiles/%d rows, fabric %d/%d",
 			soloTk.NumProfiles(), soloTk.NumRows(), fabTk.NumProfiles(), fabTk.NumRows())
+	}
+}
+
+// TestCampaignDispatchMode: a plan's dispatch mode reaches its runs both
+// in-process and through a fabric worker (the spec carries it over the
+// wire), and the closure path computes Stream_TRIAD's checksum bitwise
+// equal to the mono path.
+func TestCampaignDispatchMode(t *testing.T) {
+	plan := campaign.Plan{Machines: []string{"Host"}, Variants: []string{"RAJA_Seq"},
+		Kernels: []string{"Stream_TRIAD"}, Sizes: []int{1000}, Execute: true}
+	triad := func(p *caliper.Profile) uint64 {
+		r := p.Find("Stream_TRIAD")
+		if r == nil {
+			t.Fatal("profile has no Stream_TRIAD node")
+		}
+		return math.Float64bits(r.Metrics["checksum"])
+	}
+	opts := campaign.Options{Metrics: new(telemetry.Registry)}
+	mono, err := campaign.Collect(context.Background(), plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Dispatch = "closure"
+	local, err := campaign.Collect(context.Background(), plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	res, _ := runFabric(t, dir, 1, plan, nil, nil)
+	if res.Done != 1 {
+		t.Fatalf("fabric campaign: %d done, %d failed", res.Done, res.Failed)
+	}
+	remote, err := caliper.ReadFile(res.Specs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if d := mono[0].Metadata["dispatch"]; d != "mono" {
+		t.Errorf("mono campaign recorded dispatch %v", d)
+	}
+	for name, p := range map[string]*caliper.Profile{"in-process": local[0], "fabric": remote} {
+		if d := p.Metadata["dispatch"]; d != "closure" {
+			t.Errorf("%s closure campaign recorded dispatch %v", name, d)
+		}
+		if got, want := triad(p), triad(mono[0]); got != want {
+			t.Errorf("%s closure checksum bits %#x, mono %#x", name, got, want)
+		}
 	}
 }
 

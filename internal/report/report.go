@@ -1,38 +1,33 @@
-// Package report generates the RAJA Performance Suite's classic run
+// Package report renders the RAJA Performance Suite's classic run
 // reports: the per-kernel timing report comparing variants (the suite's
 // RAJAPerf-timing output), the checksum report verifying that all variants
-// of each kernel compute the same answer (RAJAPerf-checksum), and a CSV
-// form of the timing data for external tooling. Reports come from real
-// host execution, not the hardware models.
+// of each kernel compute the same answer (RAJAPerf-checksum), a CSV form
+// of the timing data for external tooling, and the host strong-scaling
+// table. Reports come from real host execution, not the hardware models.
+//
+// The package runs nothing itself. Plan and ScalingPlan describe the runs
+// as campaign plans, package campaign executes them like every other
+// host path (fault injection, retry, watchdogs, per-kernel panic
+// isolation, telemetry), and FromProfiles and ScalingFromProfiles build
+// the tables from the retained profiles. Each timing is the suite's
+// single-shot per-kernel wall_time.
 package report
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
+	"rajaperf/internal/caliper"
+	"rajaperf/internal/campaign"
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
+	"rajaperf/internal/machine"
 )
-
-// Config selects what to run and how.
-type Config struct {
-	Kernels  []string // full names; empty = all registered
-	Variants []kernels.VariantID
-	Size     int // per-rank problem size (0 = kernel defaults)
-	Reps     int // repetitions (0 = kernel defaults)
-	Workers  int
-	GPUBlock int
-	// Schedule selects the parallel loop schedule for the OpenMP and GPU
-	// back-ends (0 = back-end default).
-	Schedule raja.Schedule
-}
 
 // KernelResult holds one kernel's measurements across variants.
 type KernelResult struct {
 	Name      string
-	Times     map[kernels.VariantID]float64 // best-of-passes wall seconds
+	Times     map[kernels.VariantID]float64 // wall seconds
 	Checksums map[kernels.VariantID]float64
 	Skipped   []kernels.VariantID // declared variants that failed to run
 }
@@ -64,64 +59,57 @@ type Report struct {
 	Results  []KernelResult
 }
 
-// Run executes the configured kernels and variants on the host and
-// gathers timing and checksum data.
-func Run(cfg Config) (*Report, error) {
-	names := cfg.Kernels
+// Plan turns base — its kernels, size, reps, workers, schedule, dispatch
+// and services — into the campaign plan behind the reports: the Host
+// machine under each variant (base.Variants, or the four host variants
+// when empty), executed. Run it with campaign.Collect and pass the
+// profiles to FromProfiles.
+func Plan(base campaign.Plan) campaign.Plan {
+	base.Machines = []string{machine.Host().Shorthand}
+	if len(base.Variants) == 0 {
+		base.Variants = []string{"Base_Seq", "RAJA_Seq", "Base_OpenMP", "RAJA_OpenMP"}
+	}
+	base.Execute = true
+	return base
+}
+
+// FromProfiles builds the report from the profiles of a Plan campaign,
+// one per variant in plan order, with one row per kernel of names (empty
+// = every registered kernel). A variant a kernel does not implement has
+// no node; a kernel whose run failed has one carrying the suite's "error"
+// metric and no timing, and is listed in Skipped. Either way the variant
+// renders as "--".
+func FromProfiles(names []string, profiles []*caliper.Profile) (*Report, error) {
 	if len(names) == 0 {
 		names = kernels.Names()
 	}
-	variants := cfg.Variants
-	if len(variants) == 0 {
-		variants = []kernels.VariantID{
-			kernels.BaseSeq, kernels.RAJASeq,
-			kernels.BaseOpenMP, kernels.RAJAOpenMP,
-		}
-	}
-	rep := &Report{Variants: variants}
-	for _, name := range names {
-		k, err := kernels.New(name)
+	rep := &Report{}
+	for _, p := range profiles {
+		v, err := kernels.ParseVariant(fmt.Sprint(p.Metadata["variant"]))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("report: %w", err)
 		}
-		rp := kernels.RunParams{
-			Size: cfg.Size, Reps: cfg.Reps,
-			Workers: cfg.Workers, GPUBlock: cfg.GPUBlock,
-			Schedule: cfg.Schedule,
-		}
+		rep.Variants = append(rep.Variants, v)
+	}
+	for _, name := range names {
 		res := KernelResult{
 			Name:      name,
 			Times:     map[kernels.VariantID]float64{},
 			Checksums: map[kernels.VariantID]float64{},
 		}
-		for _, v := range variants {
-			if !k.Info().HasVariant(v) {
+		for i, p := range profiles {
+			r := p.Find(name)
+			if r == nil {
 				continue
 			}
-			// Fresh state per variant: some kernels accumulate into
-			// their outputs, so checksums are only comparable when
-			// every variant runs the same passes from SetUp.
-			k.SetUp(rp)
-			best := 0.0
-			var cs float64
-			ok := true
-			for pass := 0; pass < 2; pass++ {
-				start := time.Now()
-				if err := k.Run(v, rp); err != nil {
-					res.Skipped = append(res.Skipped, v)
-					ok = false
-					break
-				}
-				if el := time.Since(start).Seconds(); pass == 0 || el < best {
-					best = el
-				}
-				cs = k.Checksum()
+			v := rep.Variants[i]
+			t, ok := r.Metrics["wall_time"]
+			if !ok || r.Metrics["error"] != 0 {
+				res.Skipped = append(res.Skipped, v)
+				continue
 			}
-			k.TearDown()
-			if ok {
-				res.Times[v] = best
-				res.Checksums[v] = cs
-			}
+			res.Times[v] = t
+			res.Checksums[v] = r.Metrics["checksum"]
 		}
 		rep.Results = append(rep.Results, res)
 	}

@@ -77,7 +77,7 @@ func init() {
 }
 
 func TestKernelFaultIsolation(t *testing.T) {
-	p, err := Run(Config{
+	p, err := RunContext(context.Background(), Config{
 		Machine:     machine.Host(),
 		Variant:     kernels.RAJASeq,
 		SizePerNode: 10_000,
@@ -145,7 +145,7 @@ func TestKernelFaultIsolation(t *testing.T) {
 }
 
 func TestHealthyRunReportsZeroFailures(t *testing.T) {
-	p, err := Run(Config{
+	p, err := RunContext(context.Background(), Config{
 		Machine: machine.SPRDDR(),
 		Variant: kernels.RAJASeq,
 		Kernels: []string{"Stream_TRIAD"},
@@ -195,7 +195,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 }
 
 func TestUnknownKernelFailsBeforeRunning(t *testing.T) {
-	if _, err := Run(Config{
+	if _, err := RunContext(context.Background(), Config{
 		Machine: machine.SPRDDR(),
 		Variant: kernels.RAJASeq,
 		Kernels: []string{"Stream_TRIAD", "No_Such_Kernel"},
@@ -213,7 +213,7 @@ func TestInjectedKernelPanicIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	beats := 0
-	p, err := Run(Config{
+	p, err := RunContext(context.Background(), Config{
 		Machine:     machine.Host(),
 		Variant:     kernels.RAJASeq,
 		SizePerNode: 10_000,

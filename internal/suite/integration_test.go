@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestPipelineDiskRoundtrip(t *testing.T) {
 		"Polybench_GEMM", "Apps_FIR"}
 
 	for _, m := range []*machine.Machine{machine.SPRDDR(), machine.EPYCMI250X()} {
-		p, err := Run(Config{
+		p, err := RunContext(context.Background(), Config{
 			Machine: m,
 			Variant: DefaultVariant(m),
 			Kernels: subset,
@@ -102,11 +103,11 @@ func TestExecutedPipelineChecksumsConsistent(t *testing.T) {
 		Execute:     true,
 		Kernels:     []string{"Stream_TRIAD", "Basic_REDUCE3_INT", "Lcals_HYDRO_1D"},
 	}
-	p1, err := Run(cfg)
+	p1, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Run(cfg)
+	p2, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func TestRunWithServices(t *testing.T) {
 	pool := raja.NewPool(2)
 	defer pool.Close()
 	tracer := caliper.NewTracer(pool.Lanes(), 4096)
-	p, err := Run(Config{
+	p, err := RunContext(context.Background(), Config{
 		Machine:     m,
 		Variant:     kernels.RAJAOpenMP,
 		SizePerNode: 20_000,
@@ -126,7 +127,7 @@ func TestServicesMetricsGroupable(t *testing.T) {
 	var profiles []*caliper.Profile
 	for _, sched := range []raja.Schedule{raja.ScheduleStatic, raja.ScheduleDynamic} {
 		pool := raja.NewPool(2)
-		p, err := Run(Config{
+		p, err := RunContext(context.Background(), Config{
 			Machine:     m,
 			Variant:     kernels.RAJAOpenMP,
 			SizePerNode: 20_000,
@@ -168,7 +169,7 @@ func TestServicesMetricsGroupable(t *testing.T) {
 func TestOverheadCalibratedOncePerServiceSet(t *testing.T) {
 	run := func(svc caliper.Services, tracer *caliper.Tracer) float64 {
 		t.Helper()
-		p, err := Run(Config{
+		p, err := RunContext(context.Background(), Config{
 			Machine:     machine.SPRDDR(),
 			Variant:     kernels.RAJASeq,
 			SizePerNode: 10_000,

@@ -106,12 +106,6 @@ func DefaultVariant(m *machine.Machine) kernels.VariantID {
 	return kernels.RAJASeq
 }
 
-// Run executes (and models) the configured kernels and returns the run's
-// Caliper profile. It is RunContext with a background context.
-func Run(cfg Config) (*caliper.Profile, error) {
-	return RunContext(context.Background(), cfg)
-}
-
 // RunContext executes (and models) the configured kernels and returns the
 // run's Caliper profile. Kernels that do not implement the requested
 // variant are skipped, mirroring Table I's sparsity; the profile metadata

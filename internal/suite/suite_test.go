@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"testing"
 
 	"rajaperf/internal/kernels"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestModelOnlyRunProducesFullProfile(t *testing.T) {
-	p, err := Run(Config{
+	p, err := RunContext(context.Background(), Config{
 		Machine: machine.SPRDDR(),
 		Variant: kernels.RAJASeq,
 	})
@@ -50,7 +51,7 @@ func TestModelOnlyRunProducesFullProfile(t *testing.T) {
 }
 
 func TestGPURunRecordsNCUCounters(t *testing.T) {
-	p, err := Run(Config{
+	p, err := RunContext(context.Background(), Config{
 		Machine: machine.P9V100(),
 		Variant: kernels.RAJAGPU,
 		Kernels: []string{"Stream_TRIAD", "Basic_DAXPY", "Polybench_GEMM"},
@@ -80,7 +81,7 @@ func TestGPURunRecordsNCUCounters(t *testing.T) {
 }
 
 func TestExecuteRunRecordsChecksumAndWallTime(t *testing.T) {
-	p, err := Run(Config{
+	p, err := RunContext(context.Background(), Config{
 		Machine:     machine.Host(),
 		Variant:     kernels.RAJAOpenMP,
 		SizePerNode: 50_000,
@@ -108,7 +109,7 @@ func TestExecuteRunRecordsChecksumAndWallTime(t *testing.T) {
 
 func TestSkippedKernelsMirrorVariantSparsity(t *testing.T) {
 	// Lambda_OpenMP is absent from scans, sorts, comm, and others.
-	p, err := Run(Config{Machine: machine.SPRDDR(), Variant: kernels.LambdaOpenMP})
+	p, err := RunContext(context.Background(), Config{Machine: machine.SPRDDR(), Variant: kernels.LambdaOpenMP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestSkippedKernelsMirrorVariantSparsity(t *testing.T) {
 }
 
 func TestRunRejectsMissingMachine(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := RunContext(context.Background(), Config{}); err == nil {
 		t.Error("Run must reject a nil machine")
 	}
 }
@@ -137,7 +138,7 @@ func TestDefaultVariantFollowsTableIII(t *testing.T) {
 
 func TestTuningRecordedInMetadata(t *testing.T) {
 	run := func(block int) (string, float64) {
-		p, err := Run(Config{
+		p, err := RunContext(context.Background(), Config{
 			Machine:  machine.P9V100(),
 			Variant:  kernels.RAJAGPU,
 			GPUBlock: block,
